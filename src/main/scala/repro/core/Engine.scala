@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.data.TabularData
 import repro.fpe.FpeModel
 import repro.ml.{CrossVal, RandomForest}
@@ -8,17 +9,9 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Configuration for one AFE run (defaults are the bench-scale values; see
-  * DESIGN.md §2 for how they map to the paper's settings).
-  *
-  * `method` selects the Table III column:
-  *  - "nfs"    — NFS: policy gradient, every generated feature evaluated on
-  *               the downstream task (no FPE).
-  *  - "fsr"    — AutoFS_R: random generation + RL feature-subset selection.
-  *  - "eafe"   — full E-AFE: FPE filter + two-stage training + replay buffer
-  *               + λ-returns (hash variant per `hashVariant`).
-  *  - "eafe_d" — E-AFE_D: FPE replaced by a random 50% dropout.
-  *  - "eafe_r" — E-AFE_R: FPE filter kept but flat policy-gradient training
-  *               (no stage 1, no replay, plain per-step rewards).
+  * DESIGN.md §2 for how they map to the paper's settings). `method` names
+  * the Table III column and resolves to a [[Method]]; an unknown name is
+  * rejected.
   */
 final case class MethodConfig(
     method: String,
@@ -38,6 +31,8 @@ final case class MethodConfig(
     selectionRounds: Int = 10, // AutoFS_R subset-search rounds
     seed: Long = 1L,
 ) extends Serializable {
+  val kind: Method = Method.byName(method)
+
   /** The paper trains each stage for the full epoch budget ("The training
     * epoch of the two-stage policy training strategy is 200, respectively"):
     * E-AFE runs stage1 FPE-only epochs and then a full stage-2 budget, while
@@ -45,7 +40,70 @@ final case class MethodConfig(
     * stage-2 budget entirely against the downstream task.
     */
   def totalEpochs: Int =
-    if (method == "eafe") stage1Epochs + stage2Epochs else stage2Epochs
+    if (kind.twoStage) stage1Epochs + stage2Epochs else stage2Epochs
+}
+
+/** What one Table III method changes on the shared RL substrate. */
+sealed abstract class Method(
+    val name: String,
+    val usesFpe: Boolean = false,      // FPE filter in front of downstream evaluation
+    val randomDrop: Boolean = false,   // a random 50% dropout in place of the FPE filter
+    val twoStage: Boolean = false,     // FPE-only stage-1 epochs, then replay seeding
+    val returns: Method.ReturnRule = Method.Discounted,
+    val policy: Boolean = true,        // policy-sampled operators; else uniform, no update
+    val dedup: Boolean = true,         // drop proposals already seen this epoch
+    val gated: Boolean = true,         // accept only candidates that raise the score
+    val subsetSearch: Boolean = false, // RL subset selection over the final pool
+) extends Serializable
+
+object Method {
+
+  /** Per-step rewards → the returns of the policy update (Equ. 9–12). */
+  sealed abstract class ReturnRule extends Serializable {
+    def apply(rewards: Seq[Double], gamma: Double, lambda: Double): Array[Double]
+  }
+  case object Discounted extends ReturnRule {
+    def apply(r: Seq[Double], gamma: Double, lambda: Double) = Returns.discounted(r, gamma)
+  }
+  case object Lambda extends ReturnRule {
+    def apply(r: Seq[Double], gamma: Double, lambda: Double) =
+      Returns.lambdaReturns(r, gamma, lambda)
+  }
+  case object PerStep extends ReturnRule {
+    def apply(r: Seq[Double], gamma: Double, lambda: Double) = r.toArray
+  }
+
+  /** NFS: policy gradient, every generated feature evaluated on the
+    * downstream task (no FPE).
+    */
+  case object Nfs extends Method("nfs")
+
+  /** AutoFS_R: random generation + RL feature-subset selection. Random
+    * generation re-creates and re-evaluates duplicates (Table IV's highest
+    * count) and keeps everything it evaluates — the polluted pool is what
+    * the selection phase must fix.
+    */
+  case object Fsr extends Method("fsr", policy = false, dedup = false, gated = false,
+    subsetSearch = true)
+
+  /** Full E-AFE: FPE filter + two-stage training + replay buffer + λ-returns
+    * (hash variant per `hashVariant`).
+    */
+  case object Eafe extends Method("eafe", usesFpe = true, twoStage = true, returns = Lambda)
+
+  /** E-AFE_D: the FPE filter replaced by a random 50% dropout. */
+  case object EafeD extends Method("eafe_d", randomDrop = true, returns = Lambda)
+
+  /** E-AFE_R: FPE filter kept but flat policy-gradient training (no stage 1,
+    * no replay, plain per-step rewards).
+    */
+  case object EafeR extends Method("eafe_r", usesFpe = true, returns = PerStep)
+
+  val all: Seq[Method] = Seq(Nfs, Fsr, Eafe, EafeD, EafeR)
+
+  def byName(name: String): Method = all.find(_.name == name).getOrElse(
+    throw new IllegalArgumentException(
+      s"unknown method: $name (expected one of ${all.map(_.name).mkString(", ")})"))
 }
 
 /** Per-run effort/time accounting (Tables I, IV, VI). */
@@ -78,7 +136,7 @@ final case class RunResult(
   * the same substrate). One [[RnnPolicy]] agent per original feature; per
   * generation round every agent proposes one `OPERATOR(f1, f2)` candidate and
   * the round's surviving candidates are evaluated on the downstream task —
-  * in parallel as one Spark task each when a session is supplied.
+  * in parallel as Spark tasks when a session is supplied.
   */
 final class Engine(
     val data: TabularData,
@@ -86,10 +144,8 @@ final class Engine(
     val fpe: Option[FpeModel.Trained],
     val spark: Option[SparkSession],
 ) {
-  require(
-    !Set("eafe", "eafe_r").contains(cfg.method) || fpe.isDefined,
-    s"${cfg.method} requires a trained FPE model",
-  )
+  private val kind = cfg.kind
+  require(!kind.usesFpe || fpe.isDefined, s"${cfg.method} requires a trained FPE model")
 
   private val evalData = data.subsample(cfg.evalSampleCap, cfg.seed)
   private val rawCols  = evalData.columns
@@ -102,73 +158,37 @@ final class Engine(
 
   private def setKey(exprs: Seq[FeatExpr]): String = exprs.map(_.key).sorted.mkString(";")
 
-  private def learner = new RandomForest(
-    evalData.classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed)
-
   /** Downstream CV score of a feature set; cached by canonical set key. */
   private def score(exprs: Seq[FeatExpr]): Double =
     scoreCache.getOrElseUpdate(setKey(exprs), {
       counters.evaluated += 1
-      val t0   = System.nanoTime()
-      val cols = exprs.map(materialize)
-      val x    = Array.tabulate(evalData.nSamples)(i => cols.map(_(i)).toArray)
-      val s    = CrossVal.score(x, evalData.y, learner, cfg.folds, cfg.seed)
+      val t0 = System.nanoTime()
+      val s  = Engine.cvScore(exprs.map(materialize), evalData.y, evalData.classification, cfg)
       counters.evalNanos += System.nanoTime() - t0
       s
     })
 
-  /** Evaluate `selected ++ candidate` for every candidate — one Spark task
-    * per candidate when a session is available. Sequential and parallel paths
-    * produce identical scores (seeded learner). No memoization here: the
-    * systems the paper profiles refit the downstream CV for every submitted
-    * feature, and Table I/IV/VI account evaluations that way.
+  /** Evaluate `selected ++ candidate` for every candidate — as Spark tasks
+    * when a session is available (at most one per core). Sequential and
+    * parallel paths produce identical scores (seeded learner). No memoization
+    * here: the systems the paper profiles refit the downstream CV for every
+    * submitted feature, and Table I/IV/VI account evaluations that way.
     */
   private def evalBatch(selected: Seq[FeatExpr], candidates: Seq[FeatExpr]): Map[String, Double] = {
     val fresh = candidates.distinctBy(_.key)
     if (fresh.isEmpty) return Map.empty
 
-    val t0      = System.nanoTime()
-    val selCols = selected.map(materialize).toArray
-    val y       = evalData.y
-    val classif = evalData.classification
-    val n       = evalData.nSamples
-    val (folds, trees, depth, s0) = (cfg.folds, cfg.rfTrees, cfg.rfDepth, cfg.seed)
-
-    val freshScores: Map[String, Double] = spark match {
-      case Some(ss) =>
-        val payload = fresh.map(c => (c.key, materialize(c)))
-        val bc      = ss.sparkContext.broadcast((selCols, y, classif))
-        ss.sparkContext
-          .parallelize(payload, math.min(payload.size, ss.sparkContext.defaultParallelism))
-          .map { case (key, candCol) =>
-            val (sel, yy, cl) = bc.value
-            val x = Array.tabulate(n)(i => {
-              val row = new Array[Double](sel.length + 1)
-              var j   = 0
-              while (j < sel.length) { row(j) = sel(j)(i); j += 1 }
-              row(sel.length) = candCol(i)
-              row
-            })
-            key -> CrossVal.score(x, yy, new RandomForest(cl, trees, depth, seed = s0), folds, s0)
-          }
-          .collect()
-          .toMap
-      case None =>
-        fresh.map { c =>
-          val candCol = materialize(c)
-          val x = Array.tabulate(n)(i => {
-            val row = new Array[Double](selCols.length + 1)
-            var j   = 0
-            while (j < selCols.length) { row(j) = selCols(j)(i); j += 1 }
-            row(selCols.length) = candCol(i)
-            row
-          })
-          c.key -> CrossVal.score(x, y, new RandomForest(classif, trees, depth, seed = s0), folds, s0)
-        }.toMap
+    val t0 = System.nanoTime()
+    // Plain locals: the Spark closure must capture data, not this engine.
+    val (selCols, y, classif, c) =
+      (selected.map(materialize), evalData.y, evalData.classification, cfg)
+    val payload = fresh.map(e => (e.key, materialize(e)))
+    val scores = FanOut(spark, payload, _.defaultParallelism) { case (key, col) =>
+      key -> Engine.cvScore(selCols :+ col, y, classif, c)
     }
     counters.evaluated += fresh.size
     counters.evalNanos += System.nanoTime() - t0
-    freshScores
+    scores.toMap
   }
 
   /** P(effective) proxies for E-AFE_D's random dropout. */
@@ -178,12 +198,6 @@ final class Engine(
     val tStart = System.nanoTime()
     val n      = data.nFeatures
     val raws   = (0 until n).map(Raw(_))
-
-    val usesFpe    = cfg.method == "eafe" || cfg.method == "eafe_r"
-    val usesDrop   = cfg.method == "eafe_d" // single-stage random 50% dropout
-    val twoStage   = cfg.method == "eafe"
-    val usesPolicy = cfg.method != "fsr"
-    val usesLambda = cfg.method == "eafe" || cfg.method == "eafe_d"
 
     val agents = Array.tabulate(n)(i =>
       new RnnPolicy(Ops.all.length, seed = cfg.seed * 1000L + i))
@@ -205,27 +219,17 @@ final class Engine(
     // Stage-1 pseudo-score chain per agent (Equ. 8–9).
     val aPrevH = Array.fill(n)(baseScore)
 
-    // Running FPE outputs on this run's generated features: the decision
-    // threshold adapts so the drop rate stays >0.5 on the *deployed*
-    // distribution (Section III-D), with the pre-trained tau as the floor
-    // for the first observations.
+    // P(effective) of this run's FPE-scored candidates (Trained.threshold).
     val fpeProbs = mutable.ArrayBuffer.empty[Double]
-    def fpeThreshold: Double =
-      if (fpeProbs.size < 8) fpe.map(_.tau).getOrElse(0.5)
-      else {
-        val sorted = fpeProbs.toArray.sorted
-        sorted(math.min(sorted.length - 1,
-          math.max(0, math.ceil(sorted.length * 0.62).toInt - 1)))
-      }
 
     var replaySeeded = false
 
     for (epoch <- 0 until cfg.totalEpochs) {
-      val stage1 = twoStage && epoch < cfg.stage1Epochs
+      val stage1 = kind.twoStage && epoch < cfg.stage1Epochs
 
       // At the formal-training boundary, evaluate the replay buffer's
       // promising features on the real downstream task (Algorithm 2 line 16).
-      if (twoStage && !stage1 && !replaySeeded) {
+      if (kind.twoStage && !stage1 && !replaySeeded) {
         replaySeeded = true
         // Only the most promising replay entries get a downstream evaluation —
         // seeding must not undo the stage-1 evaluation savings.
@@ -270,18 +274,17 @@ final class Engine(
           )
           val (hNew, probs) = agents(i).forward(x, hidden(i))
           val actionIdx =
-            if (usesPolicy) agents(i).sample(probs, rng) else rng.nextInt(Ops.all.length)
-          if (usesPolicy) steps(i) += PolicyStep(x, hidden(i), actionIdx)
+            if (kind.policy) agents(i).sample(probs, rng) else rng.nextInt(Ops.all.length)
+          if (kind.policy) steps(i) += PolicyStep(x, hidden(i), actionIdx)
           hidden(i) = hNew
           val op = Ops.all(actionIdx)
           val fa = subgroups(i)(rng.nextInt(subgroups(i).size))
           val fb = subgroups(i)(rng.nextInt(subgroups(i).size))
           (i, FeatExpr.derive(op, fa, fb))
         }
-        // Dedup + order cap. FS_R skips dedup (random generation re-creates
-        // and re-evaluates duplicates — Table IV's highest count).
+        // Dedup + order cap.
         val valid = proposals.filter { case (_, e) =>
-          e.order <= cfg.maxOrder && (cfg.method == "fsr" || !seen.contains(e.key))
+          e.order <= cfg.maxOrder && (!kind.dedup || !seen.contains(e.key))
         }
         valid.foreach { case (_, e) => seen += e.key }
         counters.generated += valid.size
@@ -291,13 +294,13 @@ final class Engine(
 
         // --- Pre-evaluation (FPE / random dropout). -----------------------
         val survivors =
-          if (usesFpe) {
+          if (kind.usesFpe) {
             val tPre   = System.nanoTime()
             val scored = valid.map { case (i, e) =>
               counters.preEvaluated += 1
               (i, e, fpe.get.p(materialize(e)))
             }
-            val thr = fpeThreshold // threshold from features seen BEFORE this batch
+            val thr = fpe.get.threshold(fpeProbs) // from features seen BEFORE this batch
             scored.foreach { case (_, _, pBad) => fpeProbs += 1.0 - pBad }
             val kept = scored.filter { case (i, e, pBad) =>
               val positive = (1.0 - pBad) >= thr
@@ -315,7 +318,7 @@ final class Engine(
             }.map { case (i, e, _) => (i, e) }
             counters.preNanos += System.nanoTime() - tPre
             if (stage1) Seq.empty else kept
-          } else if (usesDrop) {
+          } else if (kind.randomDrop) {
             valid.filter(_ => randomKeep())
           } else valid
 
@@ -328,21 +331,14 @@ final class Engine(
             val s    = scores(e.key)
             val gain = s - anchor
             stepReward(i) = gain
-            if (cfg.method == "fsr") {
-              // Random generation keeps everything (no performance gate) —
-              // the polluted pool is what the selection stage must fix.
-              if (selected.size < maxSelected && !selected.exists(_.key == e.key)) {
-                selected += e
-                if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-              }
-              if (s > bestScore) { bestScore = s; bestSelected = selected.toVector }
-            } else if (gain > 0 && selected.size < maxSelected &&
-              !selected.exists(_.key == e.key)) {
+            val accept = (!kind.gated || gain > 0) && selected.size < maxSelected &&
+              !selected.exists(_.key == e.key)
+            if (accept) {
               selected += e
               if (subgroups(i).size < cfg.maxSubgroup) subgroups(i) += e
-              if (s > curScore) curScore = s
-              if (s > bestScore) { bestScore = s; bestSelected = selected.toVector }
+              if (kind.gated && s > curScore) curScore = s
             }
+            if ((accept || !kind.gated) && s > bestScore) { bestScore = s; bestSelected = selected.toVector }
           }
         }
 
@@ -353,41 +349,27 @@ final class Engine(
       }
 
       // --- Policy update (Equ. 10–12). ------------------------------------
-      if (usesPolicy) {
+      if (kind.policy) {
         (0 until n).foreach { i =>
-          val u =
-            if (usesLambda) Returns.lambdaReturns(rewards(i).toSeq, cfg.gamma, cfg.lambda)
-            else if (cfg.method == "eafe_r") rewards(i).toArray // flat per-step rewards
-            else Returns.discounted(rewards(i).toSeq, cfg.gamma) // NFS
-          agents(i).update(steps(i).toSeq, u.toSeq)
+          agents(i).update(steps(i).toSeq,
+            kind.returns(rewards(i).toSeq, cfg.gamma, cfg.lambda).toSeq)
         }
       }
       curve += bestScore
     }
 
     // --- AutoFS_R subset-selection phase (RL feature selection). ----------
-    if (cfg.method == "fsr" && selected.size > n) {
-      val pool  = selected.toVector
-      val probs = Array.fill(pool.size)(0.7)
-      var meanS = bestScore
-      for (round <- 0 until cfg.selectionRounds) {
-        val include = probs.indices.map(j => j < n || rng.nextDouble() < probs(j))
-        val subset  = pool.indices.filter(include).map(pool)
-        val s       = score(subset)
-        val adv     = s - meanS
-        probs.indices.filter(_ >= n).foreach { j =>
-          probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (include(j)) 1 else -1)))
-        }
-        meanS = 0.8 * meanS + 0.2 * s
-        if (s > bestScore) { bestScore = s; bestSelected = subset.toVector }
-      }
+    if (kind.subsetSearch && selected.size > n) {
+      val pool = selected.toVector
+      Engine.subsetSearch(pool.size, n, cfg.selectionRounds, rng, bestScore)(idx => score(idx.map(pool)))
+        .foreach { case (s, idx) => bestScore = s; bestSelected = idx.map(pool).toVector }
     }
 
     val totalMs = (System.nanoTime() - tStart) / 1e6
     RunResult(
       dataset = data.name,
       method = cfg.method,
-      hashVariant = if (usesFpe) cfg.hashVariant else "",
+      hashVariant = if (kind.usesFpe) cfg.hashVariant else "",
       baseScore = baseScore,
       score = bestScore,
       generated = counters.generated,
@@ -398,5 +380,46 @@ final class Engine(
       selectedKeys = bestSelected.map(_.key),
       curve = curve.toSeq,
     )
+  }
+}
+
+object Engine {
+
+  /** Feature columns → the row-major sample matrix of their `n` rows. */
+  def rows(cols: Seq[Array[Double]], n: Int): Array[Array[Double]] =
+    Array.tabulate(n)(i => cols.map(_(i)).toArray)
+
+  /** The downstream evaluator: seeded k-fold CV of the configured Random
+    * Forest on the feature columns `cols`.
+    */
+  def cvScore(cols: Seq[Array[Double]], y: Array[Double], classification: Boolean,
+              cfg: MethodConfig): Double =
+    CrossVal.score(rows(cols, y.length), y,
+      new RandomForest(classification, cfg.rfTrees, cfg.rfDepth, seed = cfg.seed),
+      cfg.folds, cfg.seed)
+
+  /** REINFORCE subset search over items `0 until size` (AutoFS_R's selection
+    * phase; DL|FE's selection over deep features). Items below `fixed` are
+    * always kept; each other item is kept with its own probability, nudged
+    * toward the subsets that beat a running mean score. Returns the best
+    * (score, subset) of the `rounds` rounds if one beats `baseline`.
+    */
+  def subsetSearch(size: Int, fixed: Int, rounds: Int, rng: Random, baseline: Double)(
+      score: IndexedSeq[Int] => Double): Option[(Double, IndexedSeq[Int])] = {
+    val probs = Array.fill(size)(0.7)
+    var meanS = baseline
+    var best  = Option.empty[(Double, IndexedSeq[Int])]
+    for (_ <- 0 until rounds) {
+      val include = Array.tabulate(size)(j => j < fixed || rng.nextDouble() < probs(j))
+      val subset  = (0 until size).filter(include)
+      val s       = score(subset)
+      val adv     = s - meanS
+      (fixed until size).foreach { j =>
+        probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (include(j)) 1 else -1)))
+      }
+      meanS = 0.8 * meanS + 0.2 * s
+      if (s > best.fold(baseline)(_._1)) best = Some((s, subset))
+    }
+    best
   }
 }

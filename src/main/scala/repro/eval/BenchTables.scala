@@ -3,6 +3,7 @@ package repro.eval
 import java.io.{File, PrintWriter}
 import org.apache.commons.math3.stat.inference.TTest
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.core.{MethodConfig, RunResult}
 import repro.data.DatasetRegistry
 import repro.fpe.{FpeLabeler, FpeModel}
@@ -25,9 +26,6 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
 
   val datasets: Seq[String] = DatasetRegistry.targets.map(_.name)
 
-  def cfg(method: String, hashVariant: String = "ccws"): MethodConfig =
-    MethodConfig(method, hashVariant = hashVariant, seed = seed)
-
   // --- FPE pre-training -----------------------------------------------------
 
   lazy val labeled: Seq[FpeLabeler.LabeledFeature] =
@@ -42,51 +40,23 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
     }.toMap
   }
 
-  /** Algorithm-1 winner across the full grid (used by jobs/ and tests). */
-  lazy val fpeBest: FpeModel.Trained = FpeModel.trainBest(labeled, seed = seed)
-
   // --- The run grid ---------------------------------------------------------
 
   /** Phase A: every run that does not depend on another run's output. */
   lazy val gridA: Map[(String, String), RunResult] = {
-    val fpeB = spark.sparkContext.broadcast(fpeModels)
-    val sd   = seed // local copy — the closure must not capture `this`
     val work = for {
       ds <- datasets
       m  <- methods if m != "fe_dl"
     } yield (ds, m)
-    val results = spark.sparkContext
-      .parallelize(work, work.size)
-      .map { case (ds, m) =>
-        val r = m match {
-          case "dln"   => Harness.runDlN(ds, sd)
-          case "dl_fe" => Harness.runDlFe(ds, sd)
-          case v if v.startsWith("eafe:") =>
-            val hv = v.stripPrefix("eafe:")
-            Harness.runRl(ds, MethodConfig("eafe", hashVariant = hv, seed = sd),
-              Some(fpeB.value(hv)), None)
-          case "eafe_r" =>
-            Harness.runRl(ds, MethodConfig("eafe_r", seed = sd),
-              Some(fpeB.value("ccws")), None)
-          case other =>
-            Harness.runRl(ds, MethodConfig(other, seed = sd), None, None)
-        }
-        (ds, m) -> r
-      }
-      .collect()
-      .toMap
-    results
+    val (models, sd) = (fpeModels, seed) // the closure must not capture `this`
+    FanOut(Some(spark), work) { case (ds, m) => (ds, m) -> BenchResults.run(ds, m, sd, models) }.toMap
   }
 
   /** Phase B: FE|DL consumes E-AFE's selected features. */
   lazy val gridB: Map[(String, String), RunResult] = {
-    val sel  = datasets.map(ds => ds -> gridA((ds, "eafe:ccws")).selectedKeys).toMap
-    val selB = spark.sparkContext.broadcast(sel)
+    val work = datasets.map(ds => ds -> gridA((ds, "eafe:ccws")).selectedKeys)
     val sd   = seed
-    spark.sparkContext
-      .parallelize(datasets, datasets.size)
-      .map(ds => (ds, "fe_dl") -> Harness.runFeDl(ds, selB.value(ds), sd))
-      .collect()
+    FanOut(Some(spark), work) { case (ds, keys) => (ds, "fe_dl") -> Harness.runFeDl(ds, keys, sd) }
       .toMap
   }
 
@@ -96,22 +66,15 @@ final class BenchResults(spark: SparkSession, val seed: Long = 1L) {
 
   /** (dataset, method, swapModel) → score for AutoFS_R / NFS / E-AFE. */
   lazy val tableVScores: Map[(String, String, String), Double] = {
-    val sel = for {
-      ds <- datasets
-      m  <- Seq("fsr", "nfs", "eafe:ccws")
-    } yield (ds, m, grid((ds, m)).selectedKeys)
     val work = for {
-      (ds, m, keys) <- sel
-      swap          <- Seq("svm", "nbgp", "mlp")
-    } yield (ds, m, swap, keys)
+      ds   <- datasets
+      m    <- Seq("fsr", "nfs", "eafe:ccws")
+      swap <- Seq("svm", "nbgp", "mlp")
+    } yield (ds, m, swap, grid((ds, m)).selectedKeys)
     val sd = seed
-    spark.sparkContext
-      .parallelize(work, work.size)
-      .map { case (ds, m, swap, keys) =>
-        (ds, m, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
-      }
-      .collect()
-      .toMap
+    FanOut(Some(spark), work) { case (ds, m, swap, keys) =>
+      (ds, m, swap) -> Harness.reEvaluate(ds, keys, swap, sd)
+    }.toMap
   }
 
   // --- Table I --------------------------------------------------------------
@@ -131,8 +94,21 @@ object BenchResults {
   def apply(spark: SparkSession): BenchResults = synchronized {
     cached.getOrElse { val b = new BenchResults(spark); cached = Some(b); b }
   }
-}
 
+  /** One Phase-A run; `models` holds one FPE model per hash variant. */
+  private def run(ds: String, m: String, seed: Long,
+                  models: Map[String, FpeModel.Trained]): RunResult = m match {
+    case "dln"   => Harness.runDlN(ds, seed)
+    case "dl_fe" => Harness.runDlFe(ds, seed)
+    case v if v.startsWith("eafe:") =>
+      val hv = v.stripPrefix("eafe:")
+      Harness.runRl(ds, MethodConfig("eafe", hashVariant = hv, seed = seed), Some(models(hv)), None)
+    case "eafe_r" =>
+      Harness.runRl(ds, MethodConfig("eafe_r", seed = seed), Some(models("ccws")), None)
+    case other =>
+      Harness.runRl(ds, MethodConfig(other, seed = seed), None, None)
+  }
+}
 /** Table formatting + TSV persistence. */
 object BenchTables {
 
@@ -156,7 +132,6 @@ object BenchTables {
     val header = Seq("Dataset", "Instances\\Features", "New Features",
       "Generation Time", "Eval. New Features Time", "Total Time")
     val rows = b.tableIRuns.map { r =>
-      val e = DatasetRegistry.byName(r.dataset)
       Seq(r.dataset, s"${Harness.prepare(r.dataset).nSamples}\\${Harness.prepare(r.dataset).nFeatures}",
         r.generated.toString, f"${r.genMs}%.0fms", f"${r.evalMs / 1000}%.1fs",
         f"${r.totalMs / 1000}%.1fs")

@@ -68,15 +68,15 @@ object Harness {
                           yPred: Array[Double]): Double =
     if (classification) Metrics.f1Paper(yTrue, yPred) else Metrics.oneMinusRae(yTrue, yPred)
 
-  /** RTDL_N: train the tabular ResNet on a pre-made split, swap the softmax
-    * head for a Random Forest over the penultimate features, score on test.
-    */
   /** DL baselines consume the RAW dataset (up to 64 features, no RF-importance
     * pre-selection) — the paper's RTDL_N runs on the raw target datasets,
     * which is exactly why it collapses in p≫n regimes like secom.
     */
   private def rawFor(name: String): TabularData = DatasetRegistry.load(name)
 
+  /** RTDL_N: train the tabular ResNet on a pre-made split, swap the softmax
+    * head for a Random Forest over the penultimate features, score on test.
+    */
   def runDlN(name: String, seed: Long = 1L): RunResult = {
     val t0 = System.nanoTime()
     val d  = rawFor(name)
@@ -99,10 +99,7 @@ object Harness {
     val memo  = mutable.Map.empty[String, Array[Double]]
     val cols  = d.columns
     val exprs = selectedKeys.map(FeatExpr.parse)
-    val x     = {
-      val cs = exprs.map(_.evalLocal(cols, memo))
-      Array.tabulate(d.nSamples)(i => cs.map(_(i)).toArray)
-    }
+    val x     = Engine.rows(exprs.map(_.evalLocal(cols, memo)), d.nSamples)
     val (train, _, test) = split(d, seed)
     val net = new ResNetTabular(d.classification, seed = seed)
     net.train(train.map(x), train.map(d.y))
@@ -128,30 +125,17 @@ object Harness {
     val feats    = heldOut.map(i => net.features(d.x(i)))
     val yHeld    = heldOut.map(d.y)
     val p        = feats(0).length
-    val rng      = new Random(seed)
-    val probs    = Array.fill(p)(0.7)
-    val learner = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
+    val learner  = new RandomForest(d.classification, nTrees = 8, maxDepth = 6, seed = seed)
     def subsetScore(keep: Seq[Int]): Double =
       if (keep.isEmpty) 0.0
       else CrossVal.score(feats.map(r => keep.map(r).toArray), yHeld, learner, 3, seed)
-    var best  = subsetScore(0 until p)
-    var meanS = best
-    var evals = 1
-    for (_ <- 0 until 8) {
-      val keep = (0 until p).filter(j => rng.nextDouble() < probs(j))
-      val s    = subsetScore(keep)
-      evals += 1
-      val adv = s - meanS
-      (0 until p).foreach { j =>
-        probs(j) = math.min(0.95, math.max(0.05, probs(j) + 0.3 * adv * (if (keep.contains(j)) 1 else -1)))
-      }
-      meanS = 0.8 * meanS + 0.2 * s
-      if (s > best) best = s
-    }
-    RunResult(name, "dl_fe", "", 0.0, best, 0, evals.toLong, 0, 0,
+    val full   = subsetScore(0 until p)
+    val rounds = 8
+    val best   = Engine.subsetSearch(p, 0, rounds, new Random(seed), full)(subsetScore)
+      .fold(full)(_._1)
+    RunResult(name, "dl_fe", "", 0.0, best, 0, 1L + rounds, 0, 0,
       (System.nanoTime() - t0) / 1e6, Seq.empty, Seq(best))
   }
-  // (subsetScore CV runs only over held-out rows — see comment above)
 
   // --- Table V: downstream-task swap ---------------------------------------
 
@@ -176,8 +160,6 @@ object Harness {
     val exprs =
       if (selectedKeys.nonEmpty) selectedKeys.map(FeatExpr.parse)
       else (0 until d.nFeatures).map(Raw(_))
-    val cs = exprs.map(_.evalLocal(cols, memo))
-    val x  = Array.tabulate(d.nSamples)(i => cs.map(_(i)).toArray)
-    CrossVal.score(x, d.y, learner, 3, seed)
+    CrossVal.score(Engine.rows(exprs.map(_.evalLocal(cols, memo)), d.nSamples), d.y, learner, 3, seed)
   }
 }

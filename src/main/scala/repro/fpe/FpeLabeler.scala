@@ -1,6 +1,7 @@
 package repro.fpe
 
 import org.apache.spark.sql.SparkSession
+import repro.FanOut
 import repro.core.{FeatExpr, Ops, Raw}
 import repro.data.TabularData
 import repro.ml.{CrossVal, RandomForest}
@@ -39,16 +40,17 @@ object FpeLabeler {
       cfg.folds, cfg.seed,
     )
 
-  /** Label one dataset locally. */
-  def labelDataset(d: TabularData, cfg: Config): Seq[LabeledFeature] = {
-    val a0 = cvScore(d, cfg)
-    (0 until d.nFeatures).map { j =>
-      val residual = d.select((0 until d.nFeatures).filter(_ != j))
-      val aj       = if (d.nFeatures == 1) 0.0 else cvScore(residual, cfg)
-      val gain     = a0 - aj
-      LabeledFeature(d.name, j, d.column(j), gain, if (gain > cfg.thre) 1 else 0)
-    }
+  /** Equ. 3 for feature j of `d`, whose full-feature score is `a0`. */
+  private def labelFeature(d: TabularData, j: Int, a0: Double, cfg: Config): LabeledFeature = {
+    val residual = d.select((0 until d.nFeatures).filter(_ != j))
+    val aj       = if (d.nFeatures == 1) 0.0 else cvScore(residual, cfg)
+    val gain     = a0 - aj
+    LabeledFeature(d.name, j, d.column(j), gain, if (gain > cfg.thre) 1 else 0)
   }
+
+  /** Label one dataset locally. */
+  def labelDataset(d: TabularData, cfg: Config): Seq[LabeledFeature] =
+    labelAll(Seq(d), cfg)
 
   /** Label randomly *generated* transformation features on one dataset by
     * their add-one-in gain: label 1 iff score(D ∪ {f}) − score(D) > thre.
@@ -80,35 +82,18 @@ object FpeLabeler {
     }
   }
 
-  /** Label all datasets; with a SparkSession the (dataset, feature) pairs run
-    * as one task each.
+  /** Label all datasets, in input order; with a SparkSession the (dataset,
+    * feature) pairs run as one task each.
     */
   def labelAll(
       datasets: Seq[TabularData],
       cfg: Config = Config(),
       spark: Option[SparkSession] = None,
-  ): Seq[LabeledFeature] = spark match {
-    case None => datasets.flatMap(labelDataset(_, cfg))
-    case Some(s) =>
-      val a0 = datasets.map(d => d.name -> cvScore(d, cfg)).toMap
-      val bc = s.sparkContext.broadcast((datasets.map(d => d.name -> d).toMap, a0, cfg))
-      val pairs = for {
-        d <- datasets
-        j <- 0 until d.nFeatures
-      } yield (d.name, j)
-      s.sparkContext
-        .parallelize(pairs, math.min(pairs.size, s.sparkContext.defaultParallelism * 2))
-        .map { case (name, j) =>
-          val (dm, a0m, c) = bc.value
-          val d            = dm(name)
-          val residual     = d.select((0 until d.nFeatures).filter(_ != j))
-          val aj           = if (d.nFeatures == 1) 0.0 else cvScore(residual, c)
-          val gain         = a0m(name) - aj
-          LabeledFeature(name, j, d.column(j), gain, if (gain > c.thre) 1 else 0)
-        }
-        .collect()
-        .toSeq
-        .sortBy(lf => (lf.dataset, lf.featureIdx))
+  ): Seq[LabeledFeature] = {
+    val ds    = datasets.toVector
+    val a0    = ds.map(cvScore(_, cfg))
+    val pairs = for { i <- ds.indices; j <- 0 until ds(i).nFeatures } yield (i, j)
+    FanOut(spark, pairs) { case (i, j) => labelFeature(ds(i), j, a0(i), cfg) }
   }
 
   /** Equ. 3 leave-one-out labels plus add-one-in labels over generated
@@ -120,23 +105,7 @@ object FpeLabeler {
       cfg: Config = Config(),
       genPerDataset: Int = 8,
       spark: Option[SparkSession] = None,
-  ): Seq[LabeledFeature] = {
-    val loo = labelAll(datasets, cfg, spark)
-    val gen = spark match {
-      case None => datasets.flatMap(labelGenerated(_, cfg, genPerDataset))
-      case Some(s) =>
-        val bc = s.sparkContext.broadcast(
-          (datasets.map(d => d.name -> d).toMap, cfg, genPerDataset))
-        s.sparkContext
-          .parallelize(datasets.map(_.name), datasets.size)
-          .flatMap { name =>
-            val (dm, c, g) = bc.value
-            labelGenerated(dm(name), c, g)
-          }
-          .collect()
-          .toSeq
-          .sortBy(lf => (lf.dataset, lf.featureIdx))
-    }
-    loo ++ gen
-  }
+  ): Seq[LabeledFeature] =
+    labelAll(datasets, cfg, spark) ++
+      FanOut(spark, datasets)(labelGenerated(_, cfg, genPerDataset)).flatten
 }

@@ -11,6 +11,15 @@ import scala.util.Random
   */
 object FpeModel {
 
+  // The FPE decision threshold (see Trained.threshold for the rationale).
+  private val TrainKeep      = 0.45
+  private val MinObserved    = 8
+  private val DeployQuantile = 0.62
+
+  /** Nearest-rank q-quantile of an ascending array. */
+  private def quantile(sorted: Array[Double], q: Double): Double =
+    sorted(math.min(sorted.length - 1, math.max(0, math.ceil(sorted.length * q).toInt - 1)))
+
   /** Logistic regression over a d-dim signature. `prob` is the probability
     * that the feature is EFFECTIVE (label 1).
     */
@@ -85,11 +94,18 @@ object FpeModel {
       */
     def p(values: Array[Double]): Double = 1.0 - probEffective(values)
 
-    /** Candidate survives pre-evaluation. `tau` is calibrated during training
-      * so the drop rate exceeds 0.5 — Section III-D: "Our method drop rate is
-      * more than 0.5. [...] guarantees 2x faster than NFS".
+    /** The P(effective) a candidate needs to survive pre-evaluation, given
+      * the P(effective) of the run's candidates scored so far (`observed`).
+      *
+      * Both rules hold the drop rate above 0.5 — Section III-D: "Our method
+      * drop rate is more than 0.5. [...] guarantees 2x faster than NFS".
+      * [[trainBest]] calibrates `tau` to keep at most `TrainKeep` of the
+      * pre-training features. Generated features at deployment are
+      * distributed differently, so once `MinObserved` outputs are in, the
+      * threshold becomes their `DeployQuantile`; `tau` covers the start.
       */
-    def isPositive(values: Array[Double]): Boolean = probEffective(values) >= tau
+    def threshold(observed: Iterable[Double]): Double =
+      if (observed.size < MinObserved) tau else quantile(observed.toArray.sorted, DeployQuantile)
 
     /** Equ. 8: pseudo-score Aₜʰ from the classifier output. */
     def scoreFromP(pBad: Double, aO: Double): Double =
@@ -127,14 +143,8 @@ object FpeModel {
       val trSigs = trainSet.map(lf => MinHashes.signature(lf.values, d, v, seed)).toArray
       val trLab  = trainSet.map(_.label).toArray
       val clf    = trainClassifier(trSigs, trLab, seed = seed)
-      // Calibrate the decision threshold so the keep (positive) rate on the
-      // training distribution is at most `targetKeep` — the paper's >0.5
-      // drop rate, which is what guarantees the 2x evaluation saving.
-      val targetKeep = 0.45
-      val trProbs    = trSigs.map(clf.prob).sorted
-      val cut        = trProbs(math.min(trProbs.length - 1,
-        math.max(0, math.ceil(trProbs.length * (1 - targetKeep)).toInt - 1)))
-      val tau        = math.max(0.5, cut)
+      // Keep rate on the training distribution ≤ TrainKeep (Trained.threshold).
+      val tau    = math.max(0.5, quantile(trSigs.map(clf.prob).sorted, 1 - TrainKeep))
       val vaPred = valSet.map(lf =>
         if (clf.prob(MinHashes.signature(lf.values, d, v, seed)) >= tau) 1.0 else 0.0)
       val vaLab  = valSet.map(_.label.toDouble)

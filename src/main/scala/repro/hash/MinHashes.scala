@@ -47,7 +47,7 @@ object MinHashes {
   }
 
   /** Deterministic uniform in (0,1) keyed by (seed, dim, row, salt). */
-  private[hash] def uniform(seed: Long, dim: Int, row: Int, salt: Int): Double = {
+  private def uniform(seed: Long, dim: Int, row: Int, salt: Int): Double = {
     val z = mix(seed ^ (dim.toLong * 0xc2b2ae3d27d4eb4fL) ^ (row.toLong * 0x165667b19e3779f9L)
       ^ (salt.toLong * 0x27d4eb2f165667c5L))
     ((z >>> 11).toDouble + 0.5) / (1L << 53).toDouble
@@ -68,9 +68,9 @@ object MinHashes {
   }
 
   /** The per-row hash score for one signature dimension; the selected row is
-    * the argmin. Exposed so the Spark aggregation can share it exactly.
+    * the argmin.
     */
-  private[hash] def score(
+  private def score(
       variant: HashVariant, w: Double, seed: Long, dim: Int, row: Int): Double =
     variant match {
       case HashVariant.Plain =>

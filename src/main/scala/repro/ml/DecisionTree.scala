@@ -37,12 +37,18 @@ final class DecisionTree(
     }
   }
 
-  override def fit(x: Array[Array[Double]], y: Array[Double]): Model = {
+  override def fit(x: Array[Array[Double]], y: Array[Double]): Model = fitWithImportances(x, y)._1
+
+  /** The fitted tree and its weighted impurity decrease per feature (what
+    * RandomForest.featureImportances sums over its trees).
+    */
+  private[ml] def fitWithImportances(x: Array[Array[Double]], y: Array[Double]): (Model, Array[Double]) = {
     require(x.nonEmpty && x.length == y.length, "empty or mismatched training data")
     val p       = x(0).length
     val rng     = new Random(seed)
     val indices = Array.range(0, x.length)
-    new TreeModel(build(x, y, indices, p, depth = 0, rng))
+    val imp     = new Array[Double](p)
+    (new TreeModel(build(x, y, indices, p, depth = 0, rng, imp)), imp)
   }
 
   private def leafValue(y: Array[Double], idx: Array[Int]): Double =
@@ -76,6 +82,7 @@ final class DecisionTree(
       p: Int,
       depth: Int,
       rng: Random,
+      imp: Array[Double],
   ): Node = {
     if (depth >= maxDepth || idx.length < 2 * minLeaf) return Leaf(leafValue(y, idx))
     val parentImp = impurity(y, idx)
@@ -144,16 +151,10 @@ final class DecisionTree(
     }
 
     if (bestFeat < 0) return Leaf(leafValue(y, idx))
-    importanceAcc(bestFeat) += bestGain * idx.length
+    imp(bestFeat) += bestGain * idx.length
     val (li, ri) = idx.partition(i => x(i)(bestFeat) <= bestThr)
     if (li.isEmpty || ri.isEmpty) return Leaf(leafValue(y, idx))
-    Split(bestFeat, bestThr, build(x, y, li, p, depth + 1, rng), build(x, y, ri, p, depth + 1, rng))
+    Split(bestFeat, bestThr, build(x, y, li, p, depth + 1, rng, imp),
+      build(x, y, ri, p, depth + 1, rng, imp))
   }
-
-  /** Weighted impurity decrease per feature, accumulated during the last fit.
-    * Consumed by RandomForest.featureImportances.
-    */
-  private[ml] val importanceAcc = scala.collection.mutable.Map
-    .empty[Int, Double]
-    .withDefaultValue(0.0)
 }

@@ -52,9 +52,9 @@ final class RandomForest(
       val bootIdx  = Array.fill(x.length)(bootRng.nextInt(x.length))
       val bx       = bootIdx.map(x)
       val by       = bootIdx.map(y)
-      val tree = new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed)
-      val m    = tree.fit(bx, by)
-      tree.importanceAcc.foreach { case (f, v) => imp(f) += v }
+      val (m, treeImp) =
+        new DecisionTree(classification, maxDepth, minLeaf, subset, treeSeed).fitWithImportances(bx, by)
+      (0 until p).foreach(f => imp(f) += treeImp(f))
       m
     }
     val total = imp.sum

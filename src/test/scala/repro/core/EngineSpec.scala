@@ -52,13 +52,22 @@ class EngineSpec extends SparkSpec {
   }
 
   test("selected keys parse back into valid programs and include candidates within order cap") {
-    val r = new Engine(data, tinyCfg("nfs"), None, None).run()
-    r.selectedKeys.foreach { k =>
-      val e = FeatExpr.parse(k)
-      assert(e.order <= tinyCfg("nfs").maxOrder)
+    for (m <- Method.all.map(_.name)) {
+      val model = if (m == "eafe" || m == "eafe_r") Some(fpe) else None
+      val r     = new Engine(data, tinyCfg(m), model, None).run()
+      r.selectedKeys.foreach { k =>
+        val e = FeatExpr.parse(k)
+        assert(e.order <= tinyCfg(m).maxOrder, s"$m: $k")
+      }
+      // all raw features remain in the state
+      (0 until data.nFeatures).foreach(i => assert(r.selectedKeys.contains(s"f$i"), s"$m: f$i"))
     }
-    // all raw features remain in the state
-    (0 until data.nFeatures).foreach(i => assert(r.selectedKeys.contains(s"f$i")))
+  }
+
+  test("unknown method names are rejected") {
+    for (m <- Seq("eafe-ccws", "NFS", "")) {
+      intercept[IllegalArgumentException](MethodConfig(m))
+    }
   }
 
   test("E-AFE evaluates fewer features downstream than NFS") {

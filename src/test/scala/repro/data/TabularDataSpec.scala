@@ -44,16 +44,6 @@ class TabularDataSpec extends SparkSpec {
     assert(d.subsample(100, 1) eq d)
   }
 
-  test("DataFrame round-trip preserves content") {
-    val d    = SyntheticTabular.generate(
-      SyntheticTabular.Spec("rt", 80, 4, classification = true, seed = 2))
-    val back = TabularData.fromDF(d.toDF(spark), "rt", classification = true)
-    assert(back.nSamples === d.nSamples && back.nFeatures === d.nFeatures)
-    val origRows = d.x.zip(d.y).map { case (r, l) => (r.toSeq, l) }.sortBy(_.toString)
-    val backRows = back.x.zip(back.y).map { case (r, l) => (r.toSeq, l) }.sortBy(_.toString)
-    assert(origRows.toSeq === backRows.toSeq)
-  }
-
   test("mismatched x/y lengths are rejected") {
     intercept[IllegalArgumentException] {
       TabularData("bad", Array(Array(1.0)), Array(1.0, 2.0), classification = true)

@@ -38,9 +38,9 @@ class FpeLabelerSpec extends SparkSpec {
   }
 
   test("Spark fan-out produces identical labels to the local path") {
-    val ds  = Seq(oneGoodFeature(4), oneGoodFeature(5).copy(name = "one-good-b"))
+    // Input order is not lexicographic: both paths must keep it.
+    val ds  = Seq(oneGoodFeature(4).copy(name = "b"), oneGoodFeature(5).copy(name = "a"))
     val loc = FpeLabeler.labelAll(ds, FpeLabeler.Config())
-      .sortBy(l => (l.dataset, l.featureIdx))
     val dist = FpeLabeler.labelAll(ds, FpeLabeler.Config(), Some(spark))
     assert(loc.map(l => (l.dataset, l.featureIdx, l.label)) ===
       dist.map(l => (l.dataset, l.featureIdx, l.label)))
@@ -59,13 +59,14 @@ class FpeLabelerSpec extends SparkSpec {
   }
 
   test("labelAllWithGenerated concatenates both label families (Spark == local)") {
-    val ds  = Seq(oneGoodFeature(8))
+    val ds  = Seq(oneGoodFeature(8).copy(name = "b"), oneGoodFeature(9).copy(name = "a"))
     val loc = FpeLabeler.labelAllWithGenerated(ds, FpeLabeler.Config(), genPerDataset = 4)
-    assert(loc.length === 3 + 4)
+    assert(loc.length === 2 * (3 + 4))
     val dist = FpeLabeler.labelAllWithGenerated(ds, FpeLabeler.Config(), genPerDataset = 4,
       spark = Some(spark))
-    assert(loc.map(l => (l.dataset, l.featureIdx, l.label)).sorted ===
-      dist.map(l => (l.dataset, l.featureIdx, l.label)).sorted)
+    assert(loc.map(l => (l.dataset, l.featureIdx, l.label)) ===
+      dist.map(l => (l.dataset, l.featureIdx, l.label)))
+    assert(loc.map(_.gain) === dist.map(_.gain))
   }
 
   test("regression datasets label via 1-rae gains") {

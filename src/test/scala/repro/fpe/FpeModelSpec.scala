@@ -62,7 +62,6 @@ class FpeModelSpec extends SparkSpec {
       assert(p >= 0 && p <= 1)
       assert(trained.p(f) === 1.0 - p) // Equ. 7 orientation
       assert(trained.tau >= 0.5)      // calibrated for a >0.5 drop rate
-      assert(trained.isPositive(f) === ((1.0 - trained.p(f)) >= trained.tau))
     }
   }
 
@@ -83,6 +82,16 @@ class FpeModelSpec extends SparkSpec {
     val ps = Seq(0.0, 0.2, 0.4, 0.49, 0.5, 0.6, 0.8, 1.0)
     val scores = ps.map(t.scoreFromP(_, 0.5))
     scores.sliding(2).foreach { case Seq(a, b) => assert(a >= b, s"$scores") }
+  }
+
+  test("deployment threshold is tau for the first 7 outputs, then their 0.62 quantile") {
+    val t = FpeModel.Trained(new FpeModel.Classifier(Array(0.0), 0.0),
+      HashVariant.CCWS, 1, thre = 0.01, recall = 1, precision = 1,
+      deltaAMax = 0.2, deltaAMin = -0.15, seed = 1, tau = 0.7)
+    assert(t.threshold(Seq.empty) === 0.7)
+    assert(t.threshold(Seq.fill(7)(0.1)) === 0.7)
+    // ceil(10 · 0.62) = 7 → the 7th smallest of 0.01 … 0.10
+    assert(t.threshold((1 to 10).reverse.map(_ / 100.0)) === 0.07)
   }
 
   test("trainBest rejects an empty labeled set") {

@@ -84,9 +84,17 @@ class DecisionTreeSpec extends SparkSpec {
   }
 
   test("importance accumulates on the split feature") {
+    val (x, y)   = axisSeparable(200, 5)
+    val (_, imp) = new DecisionTree(classification = true, maxDepth = 3).fitWithImportances(x, y)
+    assert(imp(0) > imp(1))
+  }
+
+  test("refitting a tree gives the same importances, not their sum") {
     val (x, y) = axisSeparable(200, 5)
     val t      = new DecisionTree(classification = true, maxDepth = 3)
-    t.fit(x, y)
-    assert(t.importanceAcc(0) > t.importanceAcc(1))
+    val first  = t.fitWithImportances(x, y)._2
+    val second = t.fitWithImportances(x, y)._2
+    assert(first(0) > 0)
+    assert(first.toSeq === second.toSeq)
   }
 }
